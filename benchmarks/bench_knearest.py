@@ -1,21 +1,39 @@
 """E4 — Lemmas 5.1/5.2: k-nearest in O(i) rounds; bin-combination counting.
 
-Two tables: (a) ledger rounds scale exactly linearly in the iteration
+Three tables: (a) ledger rounds scale exactly linearly in the iteration
 count i (the O(i) claim), with per-iteration cost constant; (b) the
 Section 5.2 combinatorics — h * C(p, h) <= n for the paper's parameter
-choices, so every h-combination can be assigned to a distinct node.
+choices, so every h-combination can be assigned to a distinct node;
+(c) the switch point between the dense and the row-sparse computation
+of one Lemma 5.1 round, which ``SPARSE_POWER_MIN_N`` is set from.
+
+Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks table (c) to two sizes.
 """
 
 from __future__ import annotations
+
+import os
+import statistics
+import time
 
 import numpy as np
 
 from repro.analysis import emit, format_table
 from repro.cclique import RoundLedger
-from repro.core import knearest_iterated, make_bin_plan
-from repro.semiring import k_smallest_in_rows, minplus_power
+from repro.core import knearest_iterated, make_bin_plan, params
+from repro.semiring import (
+    filtered_power_rows_sparse,
+    hop_power_row_sparse,
+    k_smallest_in_rows,
+    minplus_power,
+    row_sparse_from_dense,
+)
+from repro.semiring.minplus import SPARSE_POWER_MIN_N
 
 from conftest import workload
+
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
+SWITCH_SIZES = (64, 256) if SMOKE else (64, 128, 256, 512, 1024)
 
 
 def test_rounds_linear_in_iterations(results_sink, benchmark):
@@ -64,3 +82,49 @@ def test_bin_combination_counting(results_sink, benchmark):
     )
     emit(table, sink_path=results_sink)
     benchmark.pedantic(lambda: make_bin_plan(4096, 16, 3), rounds=1, iterations=1)
+
+
+def _median_seconds(fn, repeats: int = 5) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def test_sparse_switch_point(results_sink, benchmark):
+    """One Lemma 5.1 round, dense Bellman–Ford vs. row-sparse filtered
+    products, at the Theorem 1.1 schedule's (k, h) on degree-24 ER graphs."""
+    rows = []
+    for n in SWITCH_SIZES:
+        k = params.theorem11_k0(n)
+        h, _ = params.choose_hop_schedule(n, k)
+        sparse = row_sparse_from_dense(workload("er-dense", n).matrix(), k)
+        dense_out = k_smallest_in_rows(hop_power_row_sparse(sparse, h), k)
+        sparse_out = filtered_power_rows_sparse(sparse, h, k)
+        assert np.array_equal(dense_out[0], sparse_out[0]), f"n={n} indices"
+        assert np.array_equal(dense_out[1], sparse_out[1]), f"n={n} values"
+        dense_s = _median_seconds(
+            lambda: k_smallest_in_rows(hop_power_row_sparse(sparse, h), k)
+        )
+        sparse_s = _median_seconds(lambda: filtered_power_rows_sparse(sparse, h, k))
+        path = "sparse" if n >= SPARSE_POWER_MIN_N else "dense"
+        rows.append((n, k, h, f"{dense_s * 1e3:.2f}", f"{sparse_s * 1e3:.2f}",
+                     f"{dense_s / sparse_s:.2f}x", path, "all rows equal"))
+    table = format_table(
+        ["n", "k", "h", "dense ms", "sparse ms", "sparse speedup", "chosen", "output"],
+        rows,
+        title=(
+            "E4c / Lemma 5.1 round — dense vs row-sparse switch point "
+            f"(SPARSE_POWER_MIN_N = {SPARSE_POWER_MIN_N})"
+        ),
+    )
+    emit(table, sink_path=results_sink)
+    n = SWITCH_SIZES[-1]
+    k = params.theorem11_k0(n)
+    h, _ = params.choose_hop_schedule(n, k)
+    sparse = row_sparse_from_dense(workload("er-dense", n).matrix(), k)
+    benchmark.pedantic(
+        lambda: filtered_power_rows_sparse(sparse, h, k), rounds=1, iterations=1
+    )

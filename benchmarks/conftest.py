@@ -14,6 +14,7 @@ index (E1-E12).  Conventions:
 from __future__ import annotations
 
 import os
+import zlib
 from typing import Dict, List
 
 import numpy as np
@@ -53,7 +54,9 @@ def results_sink() -> str:
 
 
 def rng_for(tag: str) -> np.random.Generator:
-    return np.random.default_rng(abs(hash(tag)) % (2**32))
+    """A generator seeded from a stable digest of ``tag``: the same graph in
+    every process (builtin ``hash()`` of a string is salted per process)."""
+    return np.random.default_rng(zlib.crc32(tag.encode("utf-8")))
 
 
 def registered_variants() -> List[VariantSpec]:

@@ -9,9 +9,11 @@ yields exact distances to ``N_k(u)`` (Lemma 3.3).
 Executable content:
 
 * the *output* of each round is the filtered power ``filter_k(Ā^h)``
-  (Lemmas 5.4/5.5), computed here with the row-sparse Bellman–Ford of
-  :mod:`repro.semiring.minplus` — exactly the local computation of the node
-  assigned an h-combination, applied globally;
+  (Lemmas 5.4/5.5), computed by
+  :func:`repro.semiring.minplus.filtered_power_rows` as ``h - 1``
+  filtered products on ``(n, k)`` rows (dense Bellman–Ford only for
+  small ``n``) — exactly the local computation of the node assigned an
+  h-combination, applied globally;
 * the *communication structure* — bins, h-combinations, and their counting
   claims (``h * C(p, h) <= n``, bin assignments, the set ``S`` of queried
   nodes) — is implemented in :class:`BinPlan` and validated in tests;
@@ -33,8 +35,8 @@ from ..cclique.accounting import RoundLedger
 from ..cclique.errors import LoadPreconditionError
 from ..semiring.minplus import (
     RowSparse,
-    hop_power_row_sparse,
-    k_smallest_in_rows,
+    filter_with_zero_diagonal,
+    filtered_power_rows,
     row_sparse_from_dense,
 )
 from . import params
@@ -193,25 +195,10 @@ def knearest_one_round(
     ``matrix`` is a min-plus adjacency matrix with zero diagonal (weights of
     ``G`` or of ``G ∪ H``).  The result rows are the k smallest entries of
     ``A^h`` per row, obtained via the filtered power ``Ā^h`` (Lemma 5.5
-    guarantees they coincide; tests verify it).
+    guarantees they coincide; tests verify it).  This is
+    :func:`knearest_iterated` with a single iteration.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if validate and not params.knearest_feasible(n, k, h):
-        raise LoadPreconditionError(
-            f"k = {k} exceeds O(n^(1/h)) = "
-            f"{params.KNEAREST_LOAD_CONSTANT} * {n ** (1.0 / h):.2f} "
-            f"for h = {h} (Lemma 5.1 precondition)"
-        )
-    plan = make_bin_plan(n, k, h)
-    if ledger is not None:
-        _charge_one_iteration(ledger, n, k, h, plan)
-    sparse = row_sparse_from_dense(matrix, k)
-    powered = hop_power_row_sparse(sparse, h)
-    indices, values = k_smallest_in_rows(powered, k)
-    return KNearestResult(indices=indices, values=values, k=k, h=h, iterations=1)
+    return knearest_iterated(matrix, k, h, 1, ledger=ledger, validate=validate)
 
 
 def knearest_iterated(
@@ -224,25 +211,43 @@ def knearest_iterated(
 ) -> KNearestResult:
     """Lemma 5.2: ``h^i``-hop distances to ``N^{h^i}_k(u)`` in O(i) rounds.
 
-    Iterates Lemma 5.1: the filtered output of round ``j`` (a matrix with k
-    finite entries per row) is the input of round ``j + 1``.
+    Iterates Lemma 5.1: the filtered output of round ``j`` (k entries per
+    row, diagonal reset to zero) is the input of round ``j + 1``, passed
+    on as ``(n, k)`` rows.  Once an iteration's input equals the previous
+    one, every later iteration repeats it, so computation stops there;
+    the rounds of every iteration are still charged.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
-    current = np.asarray(matrix, dtype=np.float64)
-    result: Optional[KNearestResult] = None
+    if matrix.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if validate and not params.knearest_feasible(n, k, h):
+        raise LoadPreconditionError(
+            f"k = {k} exceeds O(n^(1/h)) = "
+            f"{params.KNEAREST_LOAD_CONSTANT} * {n ** (1.0 / h):.2f} "
+            f"for h = {h} (Lemma 5.1 precondition)"
+        )
+    plan = make_bin_plan(n, k, h)
+    rows = row_sparse_from_dense(matrix, k)
+    indices, values = rows.indices, rows.values
+    converged = False
     for _ in range(iterations):
-        result = knearest_one_round(current, k, h, ledger=ledger, validate=validate)
-        current = result.to_row_sparse(n).to_dense()
-        np.fill_diagonal(current, 0.0)
-    assert result is not None
+        if ledger is not None:
+            _charge_one_iteration(ledger, n, k, h, plan)
+        if converged:
+            continue
+        indices, values = filtered_power_rows(rows, h, k)
+        next_idx, next_val = filter_with_zero_diagonal(
+            RowSparse(indices=indices, values=values, n_cols=n), k
+        )
+        converged = np.array_equal(next_idx, rows.indices) and np.array_equal(
+            next_val, rows.values
+        )
+        rows = RowSparse(indices=next_idx, values=next_val, n_cols=n)
     return KNearestResult(
-        indices=result.indices,
-        values=result.values,
-        k=k,
-        h=h,
-        iterations=iterations,
+        indices=indices, values=values, k=k, h=h, iterations=iterations
     )
 
 

@@ -19,6 +19,11 @@ if *every* source of nondeterminism is threaded explicitly:
   ledger/serving layers; the few legitimate algorithm-layer sites (the
   ``RoundLedger`` phase profiler) carry ``# lint: allow[det-wallclock]``
   pragmas.
+* ``det-builtin-hash`` — the builtin ``hash()`` of a ``str``/``bytes`` is
+  salted per process (``PYTHONHASHSEED``), so a seed or key derived from
+  it changes from run to run.  Use a stable digest (``zlib.crc32``,
+  ``hashlib``).  Calls inside a ``__hash__`` method, whose value never
+  leaves the process, are fine.
 """
 
 from __future__ import annotations
@@ -26,7 +31,13 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from .framework import Finding, LintContext, call_name, register_rule
+from .framework import (
+    Finding,
+    LintContext,
+    call_name,
+    enclosing_function,
+    register_rule,
+)
 
 #: np.random attributes that are deterministic constructors, not global
 #: state: explicitly seeded generators and the seeding primitives.
@@ -185,4 +196,32 @@ def check_wallclock(ctx: LintContext) -> List[Finding]:
             )
             if finding:
                 findings.append(finding)
+    return findings
+
+
+@register_rule(
+    "det-builtin-hash",
+    family="determinism",
+    summary="builtin hash() is salted per process; use a stable digest",
+    include=_EVERYWHERE,
+)
+def check_builtin_hash(ctx: LintContext) -> List[Finding]:
+    findings: List[Finding] = []
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if call_name(node) not in ("hash", "builtins.hash"):
+            continue
+        function = enclosing_function(ctx, node)
+        if isinstance(function, ast.FunctionDef) and function.name == "__hash__":
+            continue
+        finding = ctx.finding(
+            node,
+            "det-builtin-hash",
+            "hash() of a str/bytes is salted per process, so anything "
+            "derived from it differs between runs; use zlib.crc32 or "
+            "hashlib for seeds and persisted keys",
+        )
+        if finding:
+            findings.append(finding)
     return findings

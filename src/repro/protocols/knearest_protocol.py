@@ -5,8 +5,9 @@ Two executable schedules:
 * :func:`run_knearest_broadcast_protocol` — the trivial regime of
   Section 5.2 (``k ∈ O(1)``): every node broadcasts its k shortest
   outgoing edges with the Section 2.3 two-round trick, then computes the
-  filtered h-hop distances locally.  Output is asserted identical to
-  :func:`repro.core.knearest.knearest_one_round`.
+  filtered h-hop distances locally with
+  :func:`repro.core.knearest.knearest_one_round` (the one place a Lemma
+  5.1 round is computed) on the edges it received.
 
 * :func:`run_bin_exchange` — the non-trivial regime's *communication
   pattern*: the global edge list is split into bins, h-combinations are
@@ -33,13 +34,8 @@ import numpy as np
 
 from ..cclique.engine import ArrayClique, MessageBatch
 from ..cclique.routing import RoutingStats, route_batch_two_phase
-from ..core.knearest import BinPlan, KNearestResult, make_bin_plan
+from ..core.knearest import BinPlan, KNearestResult, knearest_one_round, make_bin_plan
 from ..graphs.graph import WeightedGraph
-from ..semiring.minplus import (
-    hop_power_row_sparse,
-    k_smallest_in_rows,
-    row_sparse_from_dense,
-)
 
 
 @dataclass
@@ -126,10 +122,7 @@ def run_knearest_broadcast_protocol(
         np.minimum.at(matrix, (a_i[ok], b_i[ok]), view.payload[ok, 2])
     # own edges (a node obviously knows its own list without messages)
     np.minimum.at(matrix, (e_src, e_end), e_w)
-    sparse = row_sparse_from_dense(matrix, k)
-    powered = hop_power_row_sparse(sparse, h)
-    indices, values = k_smallest_in_rows(powered, k)
-    result = KNearestResult(indices=indices, values=values, k=k, h=h, iterations=1)
+    result = knearest_one_round(matrix, k, h, validate=False)
     return BroadcastKNearestResult(result=result, rounds=rounds)
 
 

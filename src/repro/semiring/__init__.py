@@ -11,12 +11,12 @@ environment variable fix the choice process-wide.
 from .minplus import (
     INF,
     RowSparse,
-    filter_rows,
-    filtered_hop_power,
+    filter_with_zero_diagonal,
+    filtered_power_rows,
+    filtered_power_rows_sparse,
     hop_power_row_sparse,
     k_smallest_in_rows,
     row_sparse_from_dense,
-    rows_agree_on_k_smallest,
 )
 from .sparse import SparseProductResult, density, embed, sparse_minplus
 
@@ -68,8 +68,9 @@ __all__ = [
     "SparseProductResult",
     "density",
     "embed",
-    "filter_rows",
-    "filtered_hop_power",
+    "filter_with_zero_diagonal",
+    "filtered_power_rows",
+    "filtered_power_rows_sparse",
     "get_kernel",
     "hop_power_row_sparse",
     "iter_kernels",
@@ -81,7 +82,6 @@ __all__ = [
     "minplus_square",
     "register_kernel",
     "resolve_kernel",
-    "rows_agree_on_k_smallest",
     "row_sparse_from_dense",
     "SHARD_DTYPE_ENV",
     "SHARD_ENV_VARS",

@@ -34,3 +34,7 @@ def unseeded_stdlib_instance():
 
 def wallclock_in_algorithm():
     return time.perf_counter()  # det-wallclock
+
+
+def seed_from_builtin_hash(tag):
+    return np.random.default_rng(abs(hash(tag)) % (2**32))  # det-builtin-hash

@@ -1,6 +1,7 @@
 """Known-good determinism corpus: nothing here may be flagged."""
 
 import random
+import zlib
 
 import numpy as np
 
@@ -28,3 +29,16 @@ def pragma_allowed_profiling():
 
     # Reviewed exception: profiling only, never read back by algorithms.
     return time.perf_counter()  # lint: allow[det-wallclock]
+
+
+def seed_from_stable_digest(tag: str):
+    return np.random.default_rng(zlib.crc32(tag.encode("utf-8")))
+
+
+class Key:
+    def __init__(self, name: str):
+        self.name = name
+
+    def __hash__(self):
+        # In-process only: the salted value never seeds or persists anything.
+        return hash(self.name)

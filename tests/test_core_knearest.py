@@ -14,10 +14,18 @@ from repro.core import (
     knearest_one_round,
     make_bin_plan,
 )
-from repro.graphs import erdos_renyi, exact_apsp
+from repro.core import knearest as knearest_module
+from repro.graphs import (
+    WeightedGraph,
+    erdos_renyi,
+    exact_apsp,
+    heavy_tail_weights,
+    unit_weights,
+)
 from repro.semiring import k_smallest_in_rows, minplus_power
+from repro.semiring.minplus import SPARSE_POWER_MIN_N
 
-from tests.helpers import brute_force_k_nearest, make_rng
+from tests.helpers import brute_force_k_nearest, dense_knearest_iterated, make_rng
 
 SEEDS = [0, 1, 2]
 
@@ -187,3 +195,79 @@ class TestLemma33:
         assert dense.shape == (25, 25)
         assert mask.sum() == np.isfinite(result.values).sum()
         assert np.all(np.isfinite(dense[mask]))
+
+
+def _path_graph(n: int) -> WeightedGraph:
+    return WeightedGraph(n, [(u, u + 1, 1.0) for u in range(n - 1)])
+
+
+def _assert_same_rows(result, reference):
+    indices, values = reference
+    assert np.array_equal(result.indices, indices)
+    assert np.array_equal(result.values, values)
+
+
+class TestRowSparsePath:
+    """The (n, k) row computation returns exactly the dense path's arrays."""
+
+    @pytest.mark.parametrize("n", [48, SPARSE_POWER_MIN_N + 44])
+    @pytest.mark.parametrize(
+        "weights",
+        [None, heavy_tail_weights(), unit_weights()],
+        ids=["int", "heavy", "unit"],
+    )
+    def test_iterated_bit_identical_to_dense(self, n, weights):
+        graph = erdos_renyi(n, 8.0 / n, make_rng(n), weights=weights)
+        matrix = graph.matrix()
+        for k, h, i in ((9, 2, 3), (6, 3, 2), (1, 2, 2)):
+            result = knearest_iterated(matrix, k, h, i, validate=False)
+            _assert_same_rows(result, dense_knearest_iterated(matrix, k, h, i))
+
+    def test_one_round_bit_identical_to_dense(self):
+        n = SPARSE_POWER_MIN_N + 20
+        matrix = erdos_renyi(n, 0.03, make_rng(5)).matrix()
+        result = knearest_one_round(matrix, 12, 2)
+        _assert_same_rows(result, dense_knearest_iterated(matrix, 12, 2, 1))
+
+    def test_exact_via_hopset_bit_identical_to_dense(self):
+        n = SPARSE_POWER_MIN_N
+        graph = erdos_renyi(n, 0.02, make_rng(6))
+        delta = exact_apsp(graph) * 2.0
+        hopset = build_knearest_hopset(graph, delta, 2.0)
+        matrix = hopset.augmented(graph).matrix()
+        k, h = 8, 2
+        result = knearest_exact_via_hopset(matrix, k, h, hopset.beta_bound)
+        i = result.iterations
+        _assert_same_rows(result, dense_knearest_iterated(matrix, k, h, i))
+
+    def test_fixed_point_stops_computing_but_charges_every_iteration(
+        self, monkeypatch
+    ):
+        """A converged run skips the work of later iterations, yet its
+        ledger equals that of a run that changes in every iteration."""
+        calls = []
+        real = knearest_module.filtered_power_rows
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(knearest_module, "filtered_power_rows", counting)
+        n, k, h, i = 64, 16, 2, 3
+        # A path's k-nearest sets grow with every iteration's hop reach
+        # (2, 4, 8 hops); isolated nodes are settled after the first.
+        growing = _path_graph(n).matrix()
+        settled = WeightedGraph(n, []).matrix()
+        ledgers = []
+        for matrix in (growing, settled):
+            calls.clear()
+            ledger = RoundLedger(n)
+            result = knearest_iterated(matrix, k, h, i, ledger=ledger, validate=False)
+            _assert_same_rows(result, dense_knearest_iterated(matrix, k, h, i))
+            ledgers.append((ledger, len(calls)))
+        (grow_ledger, grow_calls), (settled_ledger, settled_calls) = ledgers
+        assert grow_calls == i and settled_calls == 1
+        assert settled_ledger.total_rounds == grow_ledger.total_rounds
+        assert [(e.rounds, e.detail) for e in settled_ledger.entries] == [
+            (e.rounds, e.detail) for e in grow_ledger.entries
+        ]

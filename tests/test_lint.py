@@ -60,7 +60,7 @@ class TestRuleRegistry:
     def test_expected_rules(self):
         assert set(rule_names()) == {
             "det-unseeded-rng", "det-global-random-state",
-            "det-stdlib-random", "det-wallclock",
+            "det-stdlib-random", "det-wallclock", "det-builtin-hash",
             "conc-blocking-in-lock", "conc-global-mutation",
             "conc-worker-contextvar",
             "json-nan-leak",
@@ -127,6 +127,7 @@ class TestDeterminismFixtures:
         findings = lint_fixture("det_bad.py", "src/repro/core/fixture.py")
         by_rule = sorted(f.rule for f in findings)
         assert by_rule == [
+            "det-builtin-hash",
             "det-global-random-state", "det-global-random-state",
             "det-stdlib-random", "det-stdlib-random", "det-stdlib-random",
             "det-unseeded-rng", "det-unseeded-rng",

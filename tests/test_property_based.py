@@ -12,7 +12,9 @@ contracts hold for *every* instance, not just the seeded ensembles:
 
 from __future__ import annotations
 
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -27,12 +29,15 @@ from repro.core import (
 from repro.core.results import Estimate
 from repro.graphs import WeightedGraph, check_estimate, exact_apsp
 from repro.semiring import (
-    filter_rows,
+    filtered_power_rows_sparse,
+    hop_power_row_sparse,
     k_smallest_in_rows,
     minplus,
     minplus_power,
-    rows_agree_on_k_smallest,
+    row_sparse_from_dense,
 )
+
+from tests.helpers import filter_rows, filtered_hop_power, rows_agree_on_k_smallest
 
 SETTINGS = settings(
     max_examples=25,
@@ -120,11 +125,64 @@ class TestLemma55Property:
     @SETTINGS
     @given(adjacency_matrices(), st.integers(1, 4), st.integers(1, 3))
     def test_filtered_power_agrees(self, matrix, k, h):
-        from repro.semiring import filtered_hop_power
-
         truth = minplus_power(matrix, h)
         filtered = filtered_hop_power(matrix, h, k)
         assert rows_agree_on_k_smallest(truth, filtered, k)
+
+
+#: Edge weight families for the row-sparse differential test.  Floats sit
+#: on a binary grid (multiples of 1/8) so every path sum is exact: the
+#: filtered and dense paths agree bit for bit only while additions do not
+#: round (with rounding, two different sums can collapse onto one value
+#: and reorder an ID tie).
+WEIGHT_FAMILIES = {
+    "int": st.integers(1, 1000).map(float),
+    "float": st.integers(1, 8000).map(lambda x: x / 8.0),
+    "zero": st.sampled_from([0.0, 0.0, 1.0, 2.0]),
+}
+
+
+@st.composite
+def filtered_power_instances(draw):
+    """``(RowSparse, h, k)`` over directed/undirected, sparse or empty graphs."""
+    n = draw(st.integers(1, 12))
+    family = draw(st.sampled_from(["int", "float", "zero", "equal"]))
+    weight = (
+        st.just(draw(WEIGHT_FAMILIES["int"]))
+        if family == "equal"
+        else WEIGHT_FAMILIES[family]
+    )
+    directed = draw(st.booleans())
+    matrix = np.full((n, n), np.inf)
+    node = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(node, node), max_size=3 * n)):
+        if u == v:
+            continue
+        w = draw(weight)
+        matrix[u, v] = min(matrix[u, v], w)
+        if not directed:
+            matrix[v, u] = matrix[u, v]
+    np.fill_diagonal(matrix, 0.0)
+    k = draw(st.integers(1, n + 2))
+    h = draw(st.integers(2, 4))
+    return row_sparse_from_dense(matrix, k), h, k
+
+
+class TestRowSparseFilteredPower:
+    """``filtered_power_rows_sparse`` against the dense Bellman–Ford."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(filtered_power_instances(), st.sampled_from([None, 1]))
+    def test_bit_identical_to_dense_reference(self, instance, budget):
+        """``budget=1`` shrinks the candidate blocks to one row each."""
+        sparse, h, k = instance
+        want_idx, want_val = k_smallest_in_rows(hop_power_row_sparse(sparse, h), k)
+        module = importlib.import_module("repro.semiring.minplus")
+        default = module.DEFAULT_MEMORY_BUDGET
+        with mock.patch.object(module, "DEFAULT_MEMORY_BUDGET", budget or default):
+            got_idx, got_val = filtered_power_rows_sparse(sparse, h, k)
+        assert np.array_equal(got_idx, want_idx)
+        assert np.array_equal(got_val, want_val)
 
 
 class TestKNearestProperty:

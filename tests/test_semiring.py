@@ -11,17 +11,16 @@ from repro.semiring import (
     RowSparse,
     density,
     embed,
-    filter_rows,
-    filtered_hop_power,
     hop_power_row_sparse,
     k_smallest_in_rows,
     minplus,
     minplus_power,
     row_sparse_from_dense,
-    rows_agree_on_k_smallest,
     sparse_minplus,
 )
 from repro.cclique import RoundLedger
+
+from tests.helpers import filter_rows, filtered_hop_power, rows_agree_on_k_smallest
 
 
 def random_adjacency(rng, n=12, p=0.4):
@@ -132,6 +131,14 @@ class TestRowSparse:
         dense_power = minplus_power(filtered, h)
         sparse_power = hop_power_row_sparse(row_sparse_from_dense(m, k), h)
         assert np.allclose(dense_power, sparse_power)
+
+    def test_packed_sort_key_overflow_rejected(self):
+        from repro.semiring.minplus import _k_smallest_triples
+
+        rows, cols, vals = np.array([0]), np.array([2**20]), np.array([1.0])
+        assert _k_smallest_triples(rows, cols, vals, 1, 1)[0][0, 0] == 2**20
+        with pytest.raises(ValueError, match="overflow"):
+            _k_smallest_triples(rows, cols, vals, 2**45, 1)
 
     def test_hop_power_requires_square(self):
         sparse = RowSparse(
