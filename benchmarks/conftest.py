@@ -14,6 +14,7 @@ index (E1-E12).  Conventions:
 from __future__ import annotations
 
 import os
+import subprocess
 import zlib
 from typing import Dict, List
 
@@ -57,6 +58,21 @@ def rng_for(tag: str) -> np.random.Generator:
     """A generator seeded from a stable digest of ``tag``: the same graph in
     every process (builtin ``hash()`` of a string is salted per process)."""
     return np.random.default_rng(zlib.crc32(tag.encode("utf-8")))
+
+
+def host_fingerprint() -> Dict[str, object]:
+    """Where a ``BENCH_*.json`` was measured: CPU count, numpy version and
+    the checkout's ``git describe`` (a ``-dirty`` suffix marks uncommitted
+    changes; ``None`` outside a git checkout)."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {"cpu_count": os.cpu_count(), "numpy": np.__version__, "git_sha": sha}
 
 
 def registered_variants() -> List[VariantSpec]:

@@ -7,8 +7,9 @@ the concurrency story on top:
 
 * **request front-end** — ``await service.distance/route/k_nearest``;
   each endpoint rides a per-``(tenant, oracle, endpoint)``
-  :class:`~repro.serve.batching.MicroBatcher`, so point queries that
-  arrive within one flush window coalesce into a single
+  :class:`~repro.serve.batching.MicroBatcher`: a request to an idle
+  backend flushes on the next loop tick, and point queries that arrive
+  while a flush is in flight coalesce into the next single
   ``query_many`` / ``route_batch`` / ``k_smallest_in_rows`` call.
   Results are bit-identical to the single-query path (the per-item
   semantics of every engine call are independent of batch membership) —
@@ -83,7 +84,7 @@ def oracle_handle(
 class ServiceConfig:
     """Knobs of one :class:`OracleService` (all bounds are per tenant).
 
-    ``max_batch`` / ``max_delay_ms`` shape the micro-batching window;
+    ``max_batch`` caps one micro-batch;
     ``max_workers`` sizes the thread-pool backend; ``max_tenants``
     caps admission; ``store_max_entries`` / ``store_max_bytes`` bound
     each tenant's oracle store.
@@ -101,7 +102,6 @@ class ServiceConfig:
     """
 
     max_batch: int = 64
-    max_delay_ms: float = 2.0
     max_workers: int = 4
     max_tenants: int = 8
     store_max_entries: int = 8
@@ -116,8 +116,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if self.max_tenants < 1:
@@ -132,7 +130,6 @@ class ServiceConfig:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "max_batch": self.max_batch,
-            "max_delay_ms": self.max_delay_ms,
             "max_workers": self.max_workers,
             "max_tenants": self.max_tenants,
             "store_max_entries": self.store_max_entries,
@@ -395,9 +392,9 @@ class OracleService:
             batcher = MicroBatcher(
                 partial(self._execute, endpoint, tenant, handle),
                 max_batch=self.config.max_batch,
-                max_delay_ms=self.config.max_delay_ms,
                 executor=self._executor,
                 on_flush=partial(self.metrics.record_batch, endpoint),
+                on_cancel=partial(self.metrics.bump, "cancelled_at_close"),
             )
             self._batchers[key] = batcher
         return batcher
@@ -409,7 +406,7 @@ class OracleService:
     def _execute(
         self, endpoint: str, tenant: str, handle: str, payloads: List[Tuple]
     ) -> List[Any]:
-        """One vectorized engine call for a whole flush window.
+        """One vectorized engine call for a whole micro-batch.
 
         The oracle is resolved per *flush*, not per request — one store
         hit (and one LRU touch) per batch, and an eviction mid-serving
@@ -457,17 +454,16 @@ class OracleService:
     def close(self) -> None:
         """Shut the executor down; further requests raise.
 
-        Requests still parked in a batcher (submitted but never
-        flushed — e.g. the owning event loop exited mid-window) are
-        failed via :meth:`MicroBatcher.fail_pending` rather than left
-        hanging forever; the count lands in ``cancelled_at_close``.
+        Requests still parked in a batcher (queued behind a flush in
+        flight, or the owning event loop exited first) are cancelled via
+        :meth:`MicroBatcher.close` rather than left hanging forever, and
+        so is anything that queues behind a flush finishing after the
+        close; the count lands in ``cancelled_at_close``.
         """
         if not self._closed:
             self._closed = True
             for batcher in self._batchers.values():
-                failed = batcher.fail_pending()
-                if failed:
-                    self.metrics.bump("cancelled_at_close", failed)
+                batcher.close()
             self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "OracleService":

@@ -157,18 +157,39 @@ class TestStoreConcurrency:
 # ---------------------------------------------------------------------- #
 
 
+def hold_first(flush, flushed):
+    """Wrap ``flush`` so its first call blocks until the returned event is set.
+
+    Every call records its batch (the last argument) in ``flushed``, so
+    the requests submitted meanwhile stay parked behind a flush in flight.
+    """
+    release = threading.Event()
+
+    def held(*args):
+        flushed.append(list(args[-1]))
+        if len(flushed) == 1:
+            assert release.wait(5), "held flush never released"
+        return flush(*args)
+
+    return held, release
+
+
+async def until_flushing(flushed):
+    """Yield to the loop until the first flush is running on its thread."""
+    while not flushed:
+        await asyncio.sleep(0.001)
+
+
 class TestMicroBatcher:
     def test_flush_on_size(self):
-        """max_batch concurrent submits flush immediately, not on deadline."""
+        """max_batch concurrent submits flush at once as a size batch."""
         flushed = []
 
         def flush(items):
             flushed.append(list(items))
             return [i * 10 for i in items]
 
-        # A deadline far beyond the test's patience: results arriving at
-        # all proves the size trigger fired.
-        batcher = MicroBatcher(flush, max_batch=4, max_delay_ms=60_000)
+        batcher = MicroBatcher(flush, max_batch=4)
 
         async def main():
             return await asyncio.gather(*(batcher.submit(i) for i in range(4)))
@@ -177,38 +198,121 @@ class TestMicroBatcher:
         assert results == [0, 10, 20, 30]
         assert flushed == [[0, 1, 2, 3]]
         assert batcher.stats.size_flushes == 1
-        assert batcher.stats.deadline_flushes == 0
+        assert batcher.stats.idle_flushes == 0
         assert batcher.stats.max_batch_seen == 4
 
-    def test_flush_on_deadline(self):
-        """A partial batch flushes when max_delay_ms elapses."""
+    def test_size_flush_while_a_flush_is_in_flight(self):
+        """max_batch still forces a flush behind a busy backend."""
+        flushed = []
+        flush, release = hold_first(lambda items: items, flushed)
+        batcher = MicroBatcher(flush, max_batch=3)
+
+        async def main():
+            first = asyncio.ensure_future(batcher.submit("a"))
+            await until_flushing(flushed)
+            rest = asyncio.gather(*(batcher.submit(i) for i in range(3)))
+            results = await asyncio.wait_for(rest, timeout=5)
+            release.set()
+            return await first, results
+
+        first, results = asyncio.run(asyncio.wait_for(main(), timeout=5))
+        assert (first, results) == ("a", [0, 1, 2])
+        assert flushed == [["a"], [0, 1, 2]]
+        assert batcher.stats.idle_flushes == 1
+        assert batcher.stats.size_flushes == 1
+
+    def test_lone_request_flushes_without_timer_wait(self):
+        """An idle backend flushes on the next loop tick, not on a timer."""
         flushed = []
 
         def flush(items):
             flushed.append(list(items))
             return items
 
-        batcher = MicroBatcher(flush, max_batch=100, max_delay_ms=10)
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
-            start = time.perf_counter()
-            results = await asyncio.gather(
+            task = asyncio.ensure_future(batcher.submit("a"))
+            await asyncio.sleep(0)  # tick 1: submit schedules the flush
+            await asyncio.sleep(0)  # tick 2: the flush launched
+            assert batcher.stats.flushes == 1
+            return await task
+
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == "a"
+        assert flushed == [["a"]]
+        assert batcher.stats.idle_flushes == 1
+        assert batcher.stats.size_flushes == 0
+
+    def test_same_tick_requests_share_one_flush(self):
+        flushed = []
+
+        def flush(items):
+            flushed.append(list(items))
+            return items
+
+        batcher = MicroBatcher(flush, max_batch=100)
+
+        async def main():
+            return await asyncio.gather(
                 batcher.submit("a"), batcher.submit("b")
             )
-            return results, time.perf_counter() - start
 
-        results, elapsed = asyncio.run(main())
-        assert results == ["a", "b"]
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == ["a", "b"]
         assert flushed == [["a", "b"]]
-        assert elapsed >= 0.008  # waited for the window, not the size bound
-        assert batcher.stats.deadline_flushes == 1
-        assert batcher.stats.size_flushes == 0
+        assert batcher.stats.idle_flushes == 1
+
+    def test_requests_behind_inflight_flush_coalesce_into_one_follow_up(self):
+        flushed = []
+        flush, release = hold_first(lambda items: items, flushed)
+        batcher = MicroBatcher(flush, max_batch=100)
+
+        async def main():
+            first = asyncio.ensure_future(batcher.submit("a"))
+            await until_flushing(flushed)
+            queued = [asyncio.ensure_future(batcher.submit(i)) for i in range(5)]
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert batcher.pending == 5  # parked, not flushed one by one
+            assert batcher.stats.flushes == 1
+            release.set()
+            return await first, await asyncio.gather(*queued)
+
+        first, rest = asyncio.run(asyncio.wait_for(main(), timeout=5))
+        assert first == "a" and rest == [0, 1, 2, 3, 4]
+        assert flushed == [["a"], [0, 1, 2, 3, 4]]
+        assert batcher.stats.flushes == batcher.stats.idle_flushes == 2
+        assert batcher.pending == 0
+
+    def test_failed_flush_still_launches_queued_requests(self):
+        def fail_first(items):
+            if items == ["a"]:
+                raise ValueError("first batch fails")
+            return items
+
+        calls = []
+        flush, release = hold_first(fail_first, calls)
+        batcher = MicroBatcher(flush, max_batch=100)
+
+        async def main():
+            first = asyncio.ensure_future(batcher.submit("a"))
+            await until_flushing(calls)
+            second = asyncio.ensure_future(batcher.submit("b"))
+            await asyncio.sleep(0)
+            release.set()
+            with pytest.raises(ValueError, match="first batch fails"):
+                await first
+            return await second
+
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == "b"
+        assert calls == [["a"], ["b"]]
+        assert batcher.stats.errors == 1
+        assert batcher.stats.completed == 1
 
     def test_oversubmission_splits_into_size_batches(self):
         def flush(items):
             return [i + 1 for i in items]
 
-        batcher = MicroBatcher(flush, max_batch=8, max_delay_ms=5)
+        batcher = MicroBatcher(flush, max_batch=8)
 
         async def main():
             return await asyncio.gather(
@@ -226,7 +330,7 @@ class TestMicroBatcher:
         def flush(items):
             raise ValueError("boom")
 
-        batcher = MicroBatcher(flush, max_batch=2, max_delay_ms=5)
+        batcher = MicroBatcher(flush, max_batch=2)
 
         async def main():
             return await asyncio.gather(
@@ -238,7 +342,7 @@ class TestMicroBatcher:
         assert batcher.stats.errors == 1
 
     def test_flush_length_mismatch_is_an_error(self):
-        batcher = MicroBatcher(lambda items: [0], max_batch=2, max_delay_ms=5)
+        batcher = MicroBatcher(lambda items: [0], max_batch=2)
 
         async def main():
             return await asyncio.gather(
@@ -250,28 +354,28 @@ class TestMicroBatcher:
 
     def test_drain_flushes_pending(self):
         flushed = []
-
-        def flush(items):
-            flushed.append(list(items))
-            return items
-
-        batcher = MicroBatcher(flush, max_batch=100, max_delay_ms=60_000)
+        flush, release = hold_first(lambda items: items, flushed)
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
+            first = asyncio.ensure_future(batcher.submit("w"))
+            await until_flushing(flushed)
             task = asyncio.ensure_future(batcher.submit("x"))
-            await asyncio.sleep(0)  # enqueue before draining
+            await asyncio.sleep(0)  # enqueue behind the flush in flight
+            release.set()
             await batcher.drain()
+            assert await first == "w"
             return await task
 
         assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == "x"
-        assert flushed == [["x"]]
+        assert flushed == [["w"], ["x"]]
         assert batcher.stats.drain_flushes == 1
+        assert batcher.pending == 0
+        assert batcher.stats.completed == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MicroBatcher(lambda x: x, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda x: x, max_delay_ms=-1)
 
 
 # ---------------------------------------------------------------------- #
@@ -342,9 +446,7 @@ class TestMetrics:
 
 
 def small_service(**overrides):
-    config = dict(
-        max_batch=8, max_delay_ms=1.0, max_workers=2, max_tenants=4
-    )
+    config = dict(max_batch=8, max_workers=2, max_tenants=4)
     config.update(overrides)
     return OracleService(ServiceConfig(**config))
 
@@ -497,7 +599,7 @@ class TestOracleService:
 
     def test_requests_batch_within_window(self):
         graph, estimate = build_case(13)
-        with small_service(max_batch=16, max_delay_ms=5.0) as service:
+        with small_service(max_batch=16) as service:
             handle = service.warm(graph, variant="", seed=0, result=estimate)
 
             async def main():
@@ -706,62 +808,111 @@ class TestTimeoutRetry:
 
 class TestShutdownFanout:
     def test_fail_pending_cancels_parked_futures(self):
-        batcher = MicroBatcher(lambda items: items, max_batch=100,
-                               max_delay_ms=60_000)
+        flushed = []
+        flush, release = hold_first(lambda items: items, flushed)
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
+            first = asyncio.ensure_future(batcher.submit("w"))
+            await until_flushing(flushed)
             task = asyncio.ensure_future(batcher.submit("x"))
-            await asyncio.sleep(0)  # parked, deadline far away
+            await asyncio.sleep(0)  # parked behind the flush in flight
             assert batcher.fail_pending() == 1
             with pytest.raises(asyncio.CancelledError):
                 await task
+            release.set()
+            assert await first == "w"
 
         asyncio.run(asyncio.wait_for(main(), timeout=5))
         assert batcher.stats.cancelled == 1
         assert batcher.pending == 0
 
     def test_fail_pending_with_explicit_exception(self):
-        batcher = MicroBatcher(lambda items: items, max_batch=100,
-                               max_delay_ms=60_000)
+        flushed = []
+        flush, release = hold_first(lambda items: items, flushed)
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
+            first = asyncio.ensure_future(batcher.submit("w"))
+            await until_flushing(flushed)
             task = asyncio.ensure_future(batcher.submit("x"))
             await asyncio.sleep(0)
             batcher.fail_pending(RuntimeError("shutting down"))
             with pytest.raises(RuntimeError, match="shutting down"):
                 await task
+            release.set()
+            await first
 
         asyncio.run(asyncio.wait_for(main(), timeout=5))
 
     def test_close_fails_requests_parked_at_close_time(self):
         graph, estimate = build_case(12)
-        # A window so long the deadline never fires during the test.
-        service = small_service(max_batch=64, max_delay_ms=60_000.0)
+        service = small_service(max_batch=64)
         handle = service.warm(graph, variant="", seed=0, result=estimate)
+        flushed = []
+        service._execute, release = hold_first(service._execute, flushed)
 
         async def main():
+            first = asyncio.ensure_future(service.distance(handle, 0, 2))
+            await until_flushing(flushed)
             task = asyncio.ensure_future(service.distance(handle, 0, 1))
-            await asyncio.sleep(0)  # parked in the batcher, never flushed
+            await asyncio.sleep(0)  # parked behind the flush in flight
+            release.set()
             service.close()
             with pytest.raises(asyncio.CancelledError):
                 await task
+            await first
 
         asyncio.run(asyncio.wait_for(main(), timeout=5))
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["cancelled_at_close"] == 1
+
+    def test_flush_finishing_after_close_launches_no_follow_up(self):
+        # Regression: a flush still in flight at close() must not launch
+        # its follow-up on the shut-down executor; requests queued behind
+        # it are cancelled and counted instead.
+        graph, estimate = build_case(12)
+        service = small_service(max_batch=64)
+        handle = service.warm(graph, variant="", seed=0, result=estimate)
+        flushed = []
+        service._execute, release = hold_first(service._execute, flushed)
+
+        async def main():
+            first = asyncio.ensure_future(service.distance(handle, 0, 2))
+            await until_flushing(flushed)
+            batcher = service._batcher("distance", "default", handle)
+            release.set()
+            service.close()  # joins the flush thread; its task has not resumed
+            # A request that passed the closed check before close() (a
+            # retry leaving its backoff, or a submit racing a close() from
+            # another thread) reaches the batcher only now.
+            late = asyncio.ensure_future(batcher.submit((0, 1)))
+            await asyncio.sleep(0)
+            assert batcher.pending == 1  # queued behind the finishing flush
+            assert isinstance(await first, float)
+            with pytest.raises(asyncio.CancelledError):
+                await late
+
+        asyncio.run(asyncio.wait_for(main(), timeout=5))
+        assert len(flushed) == 1  # no follow-up flush ran
         counters = service.metrics.snapshot()["counters"]
         assert counters["cancelled_at_close"] == 1
 
     def test_drain_flushes_request_parked_during_final_flush(self):
         # Regression: a submit that parks while drain() awaits the last
         # in-flight batch must still be flushed before drain returns.
-        batcher = MicroBatcher(lambda items: items, max_batch=100,
-                               max_delay_ms=60_000)
+        flushed = []
+        flush, release = hold_first(lambda items: items, flushed)
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
             first = asyncio.ensure_future(batcher.submit("a"))
-            await asyncio.sleep(0)
+            await until_flushing(flushed)
             drainer = asyncio.ensure_future(batcher.drain())
-            await asyncio.sleep(0)  # drain launched the first flush
+            await asyncio.sleep(0)  # drain is awaiting the flush in flight
             second = asyncio.ensure_future(batcher.submit("b"))
+            await asyncio.sleep(0)
+            release.set()
             await drainer
             assert await first == "a"
             assert await second == "b"
