@@ -24,8 +24,8 @@ byzantine stack:
   the exact clean estimate.
 
 Results land in ``BENCH_chaos.json`` at the repo root.  Smoke mode
-(``REPRO_BENCH_SMOKE=1``) shrinks sizes and the sweep; the assertions
-are identical.
+(``REPRO_BENCH_SMOKE=1``) shrinks sizes and the sweep and writes
+``BENCH_chaos.smoke.json`` instead; the assertions are identical.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ from repro.cclique import (
 )
 from repro.chaos import run_scenario
 
+from conftest import bench_json_path
+
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (32,) if SMOKE else (128, 256)
 DROPS = (0.0, 0.1) if SMOKE else (0.0, 0.02, 0.05, 0.1)
 SEED = 0
 RETRIES = 4
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_chaos.json")
-)
+JSON_PATH = bench_json_path("chaos")
 
 
 def measure() -> Dict:

@@ -30,14 +30,12 @@ import pytest
 from repro.analysis import emit, format_table
 from repro.semiring import iter_kernels, kernel_names, minplus, resolve_kernel
 
-from conftest import rng_for
+from conftest import bench_json_path, rng_for
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (128,) if SMOKE else (128, 256, 512)
 REFERENCE = "broadcast"
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_kernels.json")
-)
+JSON_PATH = bench_json_path("kernels")
 
 
 def kernel_workload(n: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from repro.graphs import WeightedGraph, exact_apsp
 from repro.semiring.minplus import k_smallest_in_rows
 from repro.spanners import baswana_sengupta_spanner, spanner_edge_bound
 
-from conftest import rng_for, workload
+from conftest import bench_json_path, rng_for, workload
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (96,) if SMOKE else (128, 256, 512)
@@ -48,9 +48,7 @@ PIPELINES = (
     ("tradeoff", {"t": 2}),
     ("small-diameter", {}),
 )
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_pipeline.json")
-)
+JSON_PATH = bench_json_path("pipeline")
 
 
 # --------------------------------------------------------------------- #

@@ -15,16 +15,25 @@ Message-level measurements on the simulator, now in two parts:
   in ``BENCH_routing.json`` (per-size rounds, seconds, and speedups for
   CI and dashboards).
 
+* **Bounded construction** — the row-sharded ``next_hop_table`` build
+  at n = 4096 with memmap destinations keeps its peak transient working
+  set (tracemalloc) below half of one (n, n) int64 table; recorded under
+  ``construction`` in the same artifact.
+
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` restricts the sweep to small sizes —
-the CI configuration, where only plane equivalence (not the speedup
-ratio, which needs the large sizes and a quiet machine) is asserted.
+the CI configuration, where only plane equivalence and the bounded
+construction (not the speedup ratio, which needs the large sizes and a
+quiet machine) are asserted.  The construction chunk shrinks with n so
+the bound stays meaningful at smoke scale.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
+import tracemalloc
 from typing import Dict, List
 
 import numpy as np
@@ -40,14 +49,16 @@ from repro.cclique import (
     route_two_phase,
     route_two_phase_reference,
 )
+from repro.core.routing_tables import next_hop_table
+from repro.graphs import erdos_renyi
 
-from conftest import rng_for
+from conftest import bench_json_path, host_fingerprint, rng_for
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (32, 64) if SMOKE else (64, 128, 256, 512)
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_routing.json")
-)
+CONSTRUCTION_N = 256 if SMOKE else 4096
+CONSTRUCTION_CHUNK = 1 << 11 if SMOKE else 1 << 17
+JSON_PATH = bench_json_path("routing")
 
 
 def full_load(n: int, rng) -> list:
@@ -111,12 +122,54 @@ def measure() -> List[Dict]:
     return records
 
 
+def measure_construction() -> Dict:
+    """Row-sharded ``next_hop_table`` into memmap destinations; inputs are
+    allocated before tracing starts, so the peak is the build's own."""
+    n = CONSTRUCTION_N
+    rng = rng_for(f"shard-construct:{n}")
+    graph = erdos_renyi(n, 6.0 / n, rng)
+    graph.csr()
+    estimate = rng.uniform(1.0, 50.0, (n, n))
+    np.fill_diagonal(estimate, 0.0)
+    with tempfile.TemporaryDirectory(prefix="bench-routing-") as tmp:
+        table = np.memmap(os.path.join(tmp, "next_hop.bin"),
+                          dtype=np.int64, mode="w+", shape=(n, n))
+        hop_weight = np.memmap(os.path.join(tmp, "hop_weight.bin"),
+                               dtype=np.float64, mode="w+", shape=(n, n))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            next_hop_table(
+                graph, estimate, chunk_elems=CONSTRUCTION_CHUNK,
+                out=table, hop_weight_out=hop_weight,
+            )
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        record = {
+            "n": n, "seconds": seconds,
+            "peak_transient_bytes": int(peak),
+            "table_bytes": int(table.nbytes),
+            "bounded": bool(peak < table.nbytes / 2),
+        }
+        del table, hop_weight
+    return record
+
+
 @pytest.fixture(scope="module")
 def routing_records() -> List[Dict]:
     return measure()
 
 
-def test_routing_planes_identical_and_fast(routing_records, results_sink, benchmark):
+@pytest.fixture(scope="module")
+def construction_record() -> Dict:
+    return measure_construction()
+
+
+def test_routing_planes_identical_and_fast(
+    routing_records, construction_record, results_sink, benchmark
+):
     """E19: planes agree exactly; the array plane is the fast one."""
     for record in routing_records:
         assert record["array_rounds"] == record["object_rounds"], record
@@ -142,12 +195,22 @@ def test_routing_planes_identical_and_fast(routing_records, results_sink, benchm
         "(claim: identical rounds/spills, >= 10x at n=512)",
     )
     emit(table, sink_path=results_sink)
+    c = construction_record
+    emit(format_table(
+        ["n", "seconds", "peak transient MiB", "table MiB", "bounded"],
+        [(c["n"], f"{c['seconds']:.2f}", f"{c['peak_transient_bytes'] / 2**20:.1f}",
+          f"{c['table_bytes'] / 2**20:.0f}", c["bounded"])],
+        title="Row-sharded next_hop_table into memmaps "
+        "(claim: peak transient < half a table)",
+    ), sink_path=results_sink)
 
     payload = {
         "experiment": "E19-routing",
         "sizes": list(SIZES),
         "smoke": SMOKE,
+        "host": host_fingerprint(),
         "records": routing_records,
+        "construction": construction_record,
     }
     with open(JSON_PATH, "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=2)
@@ -155,6 +218,11 @@ def test_routing_planes_identical_and_fast(routing_records, results_sink, benchm
     n = SIZES[-1]
     batch = as_batch(full_load(n, rng_for(f"e19:{n}")), n)
     benchmark.pedantic(lambda: route_batch_two_phase(batch, n), rounds=1, iterations=1)
+
+
+def test_construction_stays_bounded(construction_record):
+    """Acceptance: the memmap build's peak stays below half a table."""
+    assert construction_record["bounded"], construction_record
 
 
 @pytest.mark.skipif(SMOKE, reason="speedup ratio needs the n=512 measurement")

@@ -37,7 +37,7 @@ from repro.analysis import emit, format_table
 from repro.graphs import erdos_renyi
 from repro.serve import OracleService, ServiceConfig, run_closed_loop
 
-from conftest import host_fingerprint, rng_for
+from conftest import bench_json_path, host_fingerprint, rng_for
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 N = 64 if SMOKE else 256
@@ -45,9 +45,7 @@ LEVELS = (2, 4, 8) if SMOKE else (8, 64, 256)
 REQUESTS = 60 if SMOKE else 2000
 MAX_BATCH = 16 if SMOKE else 128
 ENDPOINTS = ("distance", "route")
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_serve.json")
-)
+JSON_PATH = bench_json_path("serve")
 
 
 def build_service():

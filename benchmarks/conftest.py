@@ -54,6 +54,16 @@ def results_sink() -> str:
     return path
 
 
+def bench_json_path(plane: str) -> str:
+    """Where a bench module writes its artifact: ``BENCH_<plane>.json`` at
+    the repo root, or ``BENCH_<plane>.smoke.json`` under
+    ``REPRO_BENCH_SMOKE=1`` so smoke runs never overwrite the committed
+    full-run numbers."""
+    smoke = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
+    name = f"BENCH_{plane}.smoke.json" if smoke else f"BENCH_{plane}.json"
+    return os.path.abspath(os.path.join(os.path.dirname(__file__), "..", name))
+
+
 def rng_for(tag: str) -> np.random.Generator:
     """A generator seeded from a stable digest of ``tag``: the same graph in
     every process (builtin ``hash()`` of a string is salted per process)."""

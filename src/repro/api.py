@@ -38,12 +38,6 @@ from .graphs.distances import cached_exact_apsp
 from .graphs.graph import WeightedGraph
 from .graphs.validation import ApproximationReport, check_estimate
 from .semiring.kernels import AUTO, current_kernel_pin, get_kernel, use_kernel
-from .semiring.sharded import (
-    ShardPlan,
-    current_shard_plan,
-    resolve_shard_plan,
-    use_shard_plan,
-)
 
 #: Recognised validation modes for :class:`SolverConfig`.
 VALIDATION_MODES = ("none", "stretch", "strict")
@@ -299,10 +293,7 @@ class ApspSolver:
 
         ``solve(g)`` is exactly ``solve_many([g])[0]``.
         """
-        return _solve_one(
-            self.config, graph, stream, current_kernel_pin(),
-            current_shard_plan(),
-        )
+        return _solve_one(self.config, graph, stream, current_kernel_pin())
 
     def solve_many(
         self,
@@ -321,11 +312,7 @@ class ApspSolver:
         thread contexts and spawned processes do not inherit the caller's
         ContextVar, so without this hand-off a non-default kernel would
         silently fall back to auto-selection under ``executor="process"``.
-        An explicit ``config.kernel`` still takes precedence.  The
-        ambient :class:`~repro.semiring.sharded.ShardPlan` (a
-        ``use_shard_plan`` scope or the ``REPRO_SHARD_*`` environment)
-        rides the same hand-off, so sharded-kernel batches keep their
-        tile/worker/placement configuration in every executor.
+        An explicit ``config.kernel`` still takes precedence.
         """
         graphs = list(graphs)
         if executor not in EXECUTORS:
@@ -333,11 +320,7 @@ class ApspSolver:
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
         kernel_pin = current_kernel_pin()
-        shard_plan = current_shard_plan()
-        tasks = [
-            (self.config, g, i, kernel_pin, shard_plan)
-            for i, g in enumerate(graphs)
-        ]
+        tasks = [(self.config, g, i, kernel_pin) for i, g in enumerate(graphs)]
         if executor == "serial" or len(graphs) <= 1:
             return [_solve_task(task) for task in tasks]
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
@@ -350,13 +333,11 @@ def _solve_one(
     graph: WeightedGraph,
     stream: int,
     kernel_pin: Optional[str] = None,
-    shard_plan: Optional[ShardPlan] = None,
 ) -> ApspResult:
     """Run one (config, graph, stream) task — shared by all executors.
 
-    ``kernel_pin`` and ``shard_plan`` are the ambient kernel/shard
-    configuration captured at submit time; the config's own kernel wins
-    when set.
+    ``kernel_pin`` is the ambient kernel pin captured at submit time; the
+    config's own kernel wins when set.
     """
     rng = config.rng_for(stream)
     ledger = RoundLedger(graph.n, bandwidth_words=config.bandwidth_words)
@@ -366,18 +347,13 @@ def _solve_one(
         else kernel_pin
     )
     start = time.perf_counter()
-    with use_kernel(effective_kernel), use_shard_plan(shard_plan):
+    with use_kernel(effective_kernel):
         estimate = run_variant(
             config.variant, graph, rng=rng, ledger=ledger, **config.params()
         )
         # Recorded inside the context and *inside the worker*, so batch
         # results attest which pin was actually live where they ran.
         estimate.meta["kernel_pin"] = current_kernel_pin()
-        if effective_kernel == "sharded" or current_kernel_pin() == "sharded":
-            # The plan the sharded products actually ran under — in
-            # particular its dtype policy, so float32 (non-bit-identical)
-            # results are flagged on the artifact.
-            estimate.meta["shard_plan"] = resolve_shard_plan().to_dict()
     wall_time = time.perf_counter() - start
     stretch: Optional[ApproximationReport] = None
     if config.validation != "none":
@@ -409,8 +385,8 @@ def _solve_one(
 
 def _solve_task(payload) -> ApspResult:
     """Top-level adapter so process pools can pickle the work item."""
-    config, graph, stream, kernel_pin, shard_plan = payload
-    return _solve_one(config, graph, stream, kernel_pin, shard_plan)
+    config, graph, stream, kernel_pin = payload
+    return _solve_one(config, graph, stream, kernel_pin)
 
 
 # --------------------------------------------------------------------- #

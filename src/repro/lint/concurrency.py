@@ -18,7 +18,7 @@ canonical case) are machine-checked here:
   ``submit``/``map`` run without the caller's ContextVars (always for
   processes, per-task for threads).  A worker that reaches an
   ambient-pin consumer (``minplus``, ``run_variant``, ...) must
-  re-apply the captured pin (``use_kernel``/``use_shard_plan``) or pass
+  re-apply the captured pin (``use_kernel``) or pass
   the kernel explicitly — the ``solve_many`` hand-off pattern
   (capture at submit, re-apply in ``_solve_one``).
 """
@@ -75,15 +75,15 @@ _MUTATING_METHODS = {
 }
 
 #: Ambient-pin consumers: callables whose behaviour depends on the
-#: kernel/shard ContextVars.  A worker that reaches one must re-apply
-#: the pins captured at submit time.
+#: kernel ContextVar.  A worker that reaches one must re-apply the pin
+#: captured at submit time.
 _AMBIENT_CONSUMERS = {
     "minplus", "minplus_square", "minplus_power", "hop_limited_distances",
-    "run_variant", "resolve_kernel", "resolve_shard_plan", "sharded_minplus",
+    "run_variant", "resolve_kernel",
 }
 
-#: Calls that re-establish the ambient pins inside a worker.
-_PIN_APPLIERS = {"use_kernel", "use_shard_plan"}
+#: Calls that re-establish the ambient pin inside a worker.
+_PIN_APPLIERS = {"use_kernel"}
 
 
 def _with_lock_bodies(ctx: LintContext) -> List[ast.With]:
@@ -269,9 +269,7 @@ def _explicit_kernel_everywhere(func: ast.AST) -> bool:
         if name is None:
             continue
         base = name.rsplit(".", 1)[-1]
-        if base in _AMBIENT_CONSUMERS and base not in (
-            "resolve_kernel", "resolve_shard_plan"
-        ):
+        if base in _AMBIENT_CONSUMERS and base != "resolve_kernel":
             if get_keyword(node, "kernel") is None:
                 return False
     return True
@@ -317,7 +315,7 @@ def check_worker_contextvar(ctx: LintContext) -> List[Finding]:
                 "conc-worker-contextvar",
                 f"worker {worker!r} reaches an ambient-pin consumer "
                 "(minplus/run_variant/...) but never re-applies "
-                "use_kernel/use_shard_plan; capture the pins at submit "
+                "use_kernel; capture the pin at submit "
                 "and re-apply them inside the worker (the solve_many "
                 "hand-off)",
             )

@@ -11,11 +11,13 @@ metadata is a user-visible hole, not a style nit:
   as blank cells in ``repro run --help`` tables and the frontier
   output.)
 * ``reg-bench-tag`` — a benchmark module that writes a ``BENCH_*.json``
-  artifact must stamp an ``experiment`` tag, and the (artifact, tag)
-  pair must be validated by ``benchmarks/run_smoke.py``'s ``SUITES``
-  table — otherwise CI silently stops checking that plane.  The SUITES
-  table is parsed from the runner's AST at lint time, so the two can
-  never drift apart.
+  artifact (a literal name, or ``bench_json_path("<plane>")``) must
+  stamp an ``experiment`` tag, and the (artifact, tag) pair must be
+  validated by ``benchmarks/run_smoke.py``'s ``SUITES`` table — otherwise
+  CI silently stops checking that plane.  The SUITES table is parsed
+  from the runner's AST at lint time, so the two can never drift apart;
+  its ``BENCH_<plane>.smoke.json`` entries stand for the plane's
+  ``BENCH_<plane>.json``.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def _known_suites(root: str) -> Optional[Set[Tuple[str, str]]]:
                 artifact = _literal_str(element.elts[1])
                 tag = _literal_str(element.elts[2])
                 if artifact and tag:
-                    pairs.add((artifact, tag))
+                    pairs.add((artifact.replace(".smoke.json", ".json"), tag))
     return pairs or None
 
 
@@ -158,10 +160,18 @@ def _known_suites(root: str) -> Optional[Set[Tuple[str, str]]]:
     exclude=("benchmarks/run_smoke.py", "benchmarks/conftest.py"),
 )
 def check_bench_tag(ctx: LintContext) -> List[Finding]:
-    artifacts: List[Tuple[str, ast.Constant]] = []
+    artifacts: List[Tuple[str, ast.expr]] = []
     tags: List[str] = []
     for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if (
+            isinstance(node, ast.Call)
+            and (call_name(node) or "").rsplit(".", 1)[-1] == "bench_json_path"
+            and node.args
+        ):
+            plane = _literal_str(node.args[0])
+            if plane:
+                artifacts.append((f"BENCH_{plane}.json", node))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if _BENCH_ARTIFACT.match(node.value):
                 artifacts.append((node.value, node))
             elif _EXPERIMENT_TAG.match(node.value):

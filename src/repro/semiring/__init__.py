@@ -1,11 +1,11 @@
 """Tropical (min-plus) semiring algebra, dense and density-priced sparse.
 
-The dense product is served by a registry of pluggable kernels
+The dense product is served by a registry of in-process kernels
 (:mod:`repro.semiring.kernels`): ``minplus(a, b, kernel=...)`` dispatches
-to the reference ``broadcast`` kernel, the cache-``tiled`` kernel, the
-``int-repack`` kernel, or a ``numba`` JIT kernel when numba is
-installed.  ``use_kernel("tiled")`` / the ``REPRO_MINPLUS_KERNEL``
-environment variable fix the choice process-wide.
+to the reference ``broadcast`` kernel, the cache-``tiled`` kernel or the
+``int-repack`` kernel.  ``use_kernel("tiled")`` / the
+``REPRO_MINPLUS_KERNEL`` environment variable fix the choice
+process-wide.
 """
 
 from .minplus import (
@@ -42,21 +42,6 @@ from .kernels import (
     use_kernel,
 )
 
-# Importing registers the "sharded" kernel in the registry above.
-from .sharded import (
-    SHARD_DTYPE_ENV,
-    SHARD_ENV_VARS,
-    SHARD_PLACEMENT_ENV,
-    SHARD_TILE_ENV,
-    SHARD_WORKERS_ENV,
-    ShardPlan,
-    current_shard_plan,
-    resolve_shard_plan,
-    sharded_minplus,
-    shutdown_shard_pool,
-    use_shard_plan,
-)
-
 __all__ = [
     "AUTO",
     "auto_kernel",
@@ -83,17 +68,6 @@ __all__ = [
     "register_kernel",
     "resolve_kernel",
     "row_sparse_from_dense",
-    "SHARD_DTYPE_ENV",
-    "SHARD_ENV_VARS",
-    "SHARD_PLACEMENT_ENV",
-    "SHARD_TILE_ENV",
-    "SHARD_WORKERS_ENV",
-    "ShardPlan",
-    "current_shard_plan",
-    "resolve_shard_plan",
-    "sharded_minplus",
-    "shutdown_shard_pool",
     "sparse_minplus",
     "use_kernel",
-    "use_shard_plan",
 ]

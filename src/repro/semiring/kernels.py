@@ -25,10 +25,8 @@ Registered kernels (all bit-identical on the same inputs):
     int64, whichever is exact for the value range; falls back to
     ``tiled`` for non-integer or oversized inputs.  Bit-identical to the
     float64 reference because every sum stays exactly representable.
-``numba``
-    A JIT-compiled scalar triple loop, registered **only** when numba is
-    importable (never a hard dependency) and compiled lazily on first
-    use.
+
+All three run in the calling process.
 
 Selection precedence in :func:`minplus`:
 
@@ -36,9 +34,9 @@ Selection precedence in :func:`minplus`:
 2. the ambient :func:`use_kernel` context (how ``SolverConfig.kernel``
    reaches the hot path),
 3. the ``REPRO_MINPLUS_KERNEL`` environment variable,
-4. :func:`resolve_kernel` auto-selection: ``numba`` when available for
-   large inputs, else ``int-repack`` for integer-valued matrices, else
-   ``tiled`` for large inputs, else ``broadcast``.
+4. :func:`resolve_kernel` auto-selection: ``int-repack`` for
+   integer-valued matrices, else ``tiled`` for large inputs, else
+   ``broadcast``.
 
 This module is a *leaf*: it imports nothing from the rest of the package
 (numpy only), so both :mod:`repro.semiring` and :mod:`repro.graphs` may
@@ -47,7 +45,6 @@ depend on it without cycles.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -66,8 +63,7 @@ KERNEL_ENV = "REPRO_MINPLUS_KERNEL"
 AUTO = "auto"
 
 #: Default temporary-buffer budget (bytes) for the tiled kernels.  Sized so
-#: the scratch tile stays L2/L3-resident; override per call or via
-#: ``REPRO_MINPLUS_BUDGET``.
+#: the scratch tile stays L2/L3-resident; override per call.
 DEFAULT_MEMORY_BUDGET = 32 * 2**20
 
 #: Smallest max-dimension at which tiling beats plain broadcasting (below
@@ -110,23 +106,18 @@ class KernelSpec:
     name: str
     func: Callable[..., np.ndarray]
     summary: str
-    requires: str = ""  # soft dependency note ("numba"), purely informational
 
 
 _KERNELS: Dict[str, KernelSpec] = {}
 
 
-def register_kernel(
-    name: str, *, summary: str, requires: str = ""
-) -> Callable[[Callable], Callable]:
+def register_kernel(name: str, *, summary: str) -> Callable[[Callable], Callable]:
     """Decorator registering one kernel implementation under ``name``."""
 
     def decorator(func: Callable) -> Callable:
         if name in _KERNELS or name == AUTO:
             raise ValueError(f"kernel {name!r} is already registered")
-        _KERNELS[name] = KernelSpec(
-            name=name, func=func, summary=summary, requires=requires
-        )
+        _KERNELS[name] = KernelSpec(name=name, func=func, summary=summary)
         return func
 
     return decorator
@@ -215,12 +206,9 @@ def auto_kernel(a: np.ndarray, b: np.ndarray) -> str:
     Thresholds were measured on the repo's benchmark harness
     (benchmarks/bench_kernels.py); see DESIGN.md "Kernel layer".
     """
-    largest = max(a.shape[0], a.shape[1], b.shape[1])
-    if "numba" in _KERNELS and largest >= 128:
-        return "numba"
     if _is_integral(a) and _is_integral(b):
         return "int-repack"
-    if largest >= TILED_MIN_DIM:
+    if max(a.shape[0], a.shape[1], b.shape[1]) >= TILED_MIN_DIM:
         return "tiled"
     return "broadcast"
 
@@ -267,7 +255,7 @@ def minplus(
     block: Optional[int] = None,
     *,
     kernel: Optional[str] = None,
-    memory_budget: Optional[int] = None,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Dense min-plus product ``(A * B)[i, j] = min_k (A[i,k] + B[k,j])``.
@@ -288,8 +276,7 @@ def minplus(
         Explicit kernel name (highest precedence), ``"auto"``/``None``
         for ambient/env/auto selection.
     memory_budget:
-        Scratch-buffer budget in bytes for the tiled kernels; defaults to
-        ``REPRO_MINPLUS_BUDGET`` or :data:`DEFAULT_MEMORY_BUDGET`.
+        Scratch-buffer budget in bytes for the tiled kernels.
     out:
         Optional preallocated float64 destination of shape
         ``(a.shape[0], b.shape[1])``, not aliasing the operands.  The
@@ -314,10 +301,6 @@ def minplus(
         if out is not None:
             return out
         return np.empty((a.shape[0], b.shape[1]), dtype=np.float64)
-    if memory_budget is None:
-        memory_budget = int(
-            os.environ.get("REPRO_MINPLUS_BUDGET", DEFAULT_MEMORY_BUDGET)
-        )
     name = resolve_kernel(a, b, kernel)
     if name == "int-repack" and _was_auto_selected(kernel):
         # Auto-selection just proved integrality; skip the kernel's own
@@ -403,7 +386,7 @@ def minplus_gather(
     weights: np.ndarray,
     indices: np.ndarray,
     dense: np.ndarray,
-    memory_budget: Optional[int] = None,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
     """Row-sparse min-plus step: ``out[u, v] = min_j w[u,j] + D[idx[u,j], v]``.
 
@@ -420,10 +403,6 @@ def minplus_gather(
     m = dense.shape[1]
     if k == 0:
         return np.full((n, m), INF)
-    if memory_budget is None:
-        memory_budget = int(
-            os.environ.get("REPRO_MINPLUS_BUDGET", DEFAULT_MEMORY_BUDGET)
-        )
     blk = max(1, min(n, memory_budget // (8 * k * max(1, m))))
     out = np.empty((n, m))
     for start in range(0, n, blk):
@@ -562,60 +541,6 @@ def _int_repack_product(
     # Values large enough that float64 addition itself rounds: only the
     # reference semantics are well-defined, so stay in float64.
     return _tiled_product(a, b, memory_budget, out=out)
-
-
-_numba_impl: Optional[Callable] = None
-
-
-def _get_numba_impl() -> Callable:
-    """Compile the numba kernel on first use (import deferred until then)."""
-    global _numba_impl
-    if _numba_impl is None:
-        import numba  # soft dependency; registration is gated on find_spec
-
-        @numba.njit(parallel=True, cache=True)
-        def _numba_minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            n, k = a.shape
-            m = b.shape[1]
-            out = np.full((n, m), np.inf)
-            for i in numba.prange(n):
-                for l in range(k):
-                    w = a[i, l]
-                    if w == np.inf:
-                        continue
-                    row = b[l]
-                    for j in range(m):
-                        s = w + row[j]
-                        if s < out[i, j]:
-                            out[i, j] = s
-            return out
-
-        _numba_impl = _numba_minplus
-    return _numba_impl
-
-
-if importlib.util.find_spec("numba") is not None:  # pragma: no cover
-
-    @register_kernel(
-        "numba",
-        summary="JIT-compiled parallel triple loop (registered when numba "
-        "is importable)",
-        requires="numba",
-    )
-    def _kernel_numba(
-        a: np.ndarray,
-        b: np.ndarray,
-        block: Optional[int],
-        memory_budget: int,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        result = _get_numba_impl()(
-            np.ascontiguousarray(a), np.ascontiguousarray(b)
-        )
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
 
 
 __all__ = [

@@ -199,6 +199,11 @@ class TestRegistryFixtures:
     def test_bench_good_corpus(self):
         assert lint_fixture("bench_good.py", "benchmarks/bench_fixture.py") == []
 
+    def test_bench_json_path_artifacts_are_checked(self):
+        findings = lint_fixture("bench_helper.py", "benchmarks/bench_fixture.py")
+        assert [(f.rule, f.line) for f in findings] == [("reg-bench-tag", 13)]
+        assert "BENCH_unregistered.json" in findings[0].message
+
 
 # --------------------------------------------------------------------- #
 # Live tree: the CI gate

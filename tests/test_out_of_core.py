@@ -1,4 +1,4 @@
-"""Out-of-core construction and serving paths (PR 9's row-sharded plane).
+"""Out-of-core construction and serving paths (the row-sharded build).
 
 ``next_hop_table`` with preallocated ``out``/``hop_weight_out`` buffers
 (typically memmaps) must be bit-identical to the in-RAM build while its

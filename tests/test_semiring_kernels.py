@@ -8,9 +8,11 @@ float64 fallback).  Downstream, the ``k_smallest_in_rows`` ID tie-break
 must therefore be kernel-independent as well.
 
 Also covered: the selection precedence (argument > ``use_kernel`` context
-> ``REPRO_MINPLUS_KERNEL`` environment > auto), the exactness fix of
-``hop_limited_distances``, the gathered row-sparse product, and the
-content-hash exact-distance oracle cache.
+> ``REPRO_MINPLUS_KERNEL`` environment > auto), ``out=`` buffer semantics
+of the dispatcher and the ping-pong buffer reuse of ``minplus_power``
+for every kernel, the exactness fix of ``hop_limited_distances``, the
+gathered row-sparse product, and the content-hash exact-distance oracle
+cache.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ def random_matrix(rng, shape, *, integral, inf_frac=0.25, lo=1, hi=100):
 
 class TestRegistry:
     def test_baseline_kernels_registered(self):
-        for name in ("broadcast", "tiled", "int-repack"):
-            assert name in ALL_KERNELS
+        assert ALL_KERNELS == ("broadcast", "tiled", "int-repack")
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown min-plus kernel"):
@@ -195,19 +196,17 @@ class TestSelection:
         ints = np.ones((8, 8))
         floats = ints + 0.5
         with use_kernel(AUTO):
-            if "numba" not in ALL_KERNELS:
-                assert resolve_kernel(ints, ints) == "int-repack"
-                assert resolve_kernel(floats, floats) == "broadcast"
+            assert resolve_kernel(ints, ints) == "int-repack"
+            assert resolve_kernel(floats, floats) == "broadcast"
             big = np.full((kernels_module.TILED_MIN_DIM, 4), 0.5)
-            assert resolve_kernel(big, np.full((4, 4), 0.5)) in ("tiled", "numba")
+            assert resolve_kernel(big, np.full((4, 4), 0.5)) == "tiled"
 
     def test_auto_kernel_ignores_pins(self, monkeypatch):
         ints = np.ones((8, 8))
         monkeypatch.setenv(KERNEL_ENV, "tiled")
         with use_kernel("broadcast"):
             assert resolve_kernel(ints, ints) == "broadcast"
-            if "numba" not in ALL_KERNELS:
-                assert auto_kernel(ints, ints) == "int-repack"
+            assert auto_kernel(ints, ints) == "int-repack"
 
     def test_use_kernel_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown min-plus kernel"):
@@ -228,6 +227,63 @@ class TestSelection:
             worker.join()
             assert resolve_kernel(np.ones((4, 4)), np.ones((4, 4))) == "tiled"
         assert seen["broadcast"] == "broadcast"
+
+
+#: Operand families for the ``out=`` tests, one per int-repack path:
+#: float32 repack, int64 sentinel, and the tiled fallback.
+OUT_OPERANDS = {
+    "small-int": dict(integral=True, hi=100),
+    "large-int": dict(integral=True, hi=2**30),
+    "fractional": dict(integral=False),
+}
+
+
+class TestOutBuffer:
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("operands", sorted(OUT_OPERANDS))
+    def test_dispatcher_writes_into_out(self, kernel, operands):
+        rng = make_rng(31)
+        a = random_matrix(rng, (30, 30), **OUT_OPERANDS[operands])
+        out = np.empty((30, 30))
+        result = minplus(a, a, kernel=kernel, out=out)
+        assert result is out
+        assert np.array_equal(out, reference(a, a))
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_out_validation(self, kernel):
+        a = np.zeros((4, 4))
+        with pytest.raises(ValueError, match="shape"):
+            minplus(a, a, kernel=kernel, out=np.empty((3, 4)))
+        with pytest.raises(ValueError, match="float64"):
+            minplus(a, a, kernel=kernel, out=np.empty((4, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="share memory"):
+            minplus(a, a, kernel=kernel, out=a)
+        frozen = np.empty((4, 4))
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            minplus(a, a, kernel=kernel, out=frozen)
+
+
+class TestMinplusPowerPingPong:
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 5, 8])
+    def test_matches_iterated_product(self, kernel, exponent):
+        rng = make_rng(41 + exponent)
+        a = random_matrix(rng, (24, 24), integral=True)
+        np.fill_diagonal(a, 0.0)
+        expected = a
+        for _ in range(exponent - 1):
+            expected = reference(expected, a)
+        assert np.array_equal(minplus_power(a, exponent, kernel=kernel), expected)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_input_not_mutated(self, kernel):
+        rng = make_rng(43)
+        a = random_matrix(rng, (20, 20), integral=True)
+        np.fill_diagonal(a, 0.0)
+        snapshot = a.copy()
+        minplus_power(a, 5, kernel=kernel)
+        assert np.array_equal(a, snapshot)
 
 
 class TestPowersAndGather:
